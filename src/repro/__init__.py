@@ -31,7 +31,10 @@ Package layout
   and figure of the evaluation section.
 """
 
-from repro import core, datasets, graph, ml, selection
+import importlib
+from types import ModuleType
+
+from repro import core, datasets, graph, selection
 from repro.core import (
     BudgetExceededError,
     ConvergingPair,
@@ -54,6 +57,18 @@ from repro.selection import (
 )
 
 __version__ = "1.0.0"
+
+
+def __getattr__(name: str) -> ModuleType:
+    """Import :mod:`repro.ml` on first use (PEP 562).
+
+    It pulls in ``scipy.optimize``, which no CLI command, worker or
+    service path needs until a classifier is trained or loaded.
+    """
+    if name == "ml":
+        return importlib.import_module("repro.ml")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "core",

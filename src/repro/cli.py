@@ -166,7 +166,7 @@ def cmd_truth(args) -> int:
     g1, g2 = _snapshots(temporal, args.split)
     if args.prune and _resolve_engine(g1, g2, args.engine) == "dict":
         raise CLIError(
-            "--prune requires an unweighted engine (csr/incremental); "
+            "--prune requires an unweighted engine (msbfs/csr); "
             "this input resolves to the dict engine"
         )
     if args.k is not None:
@@ -814,9 +814,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "output (unweighted engines only; "
                             "byte-identical results)")
     truth.add_argument("--engine", default="auto",
-                       choices=["auto", "incremental", "csr", "dict"],
-                       help="ground-truth engine (auto: incremental "
-                            "delta-BFS for unweighted snapshots)")
+                       choices=["auto", "msbfs", "csr", "dict"],
+                       help="ground-truth engine (auto: msbfs bit-plane "
+                            "engine for unweighted snapshots, dict for "
+                            "weighted)")
     truth.set_defaults(func=cmd_truth)
 
     topk = subs.add_parser("topk", help="budgeted top-k (Algorithm 1)")

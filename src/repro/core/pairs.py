@@ -110,16 +110,16 @@ def pair_delta(g1: Graph, g2: Graph, u: Node, v: Node) -> Optional[float]:
 
 
 #: Recognised values of the ``engine`` argument, in resolution order.
-ENGINES = ("auto", "incremental", "csr", "dict")
+ENGINES = ("auto", "msbfs", "csr", "dict")
 
 
 def _resolve_engine(g1: Graph, g2: Graph, engine: str) -> str:
-    """Resolve the requested engine to ``incremental``/``csr``/``dict``.
+    """Resolve the requested engine to ``msbfs``/``csr``/``dict``.
 
-    ``auto`` picks the incremental delta-BFS engine whenever both
-    snapshots are unweighted (it subsumes the plain CSR engine: same
-    vectorised scoring, but the t2 traversal is a repair of the t1 one —
-    see :mod:`repro.graph.incremental`), and the dict engine otherwise.
+    ``auto`` picks the bit-plane ``msbfs`` engine whenever both
+    snapshots are unweighted (one 64-lane sweep per snapshot and source
+    block, Δ counted without unpacking — see
+    :mod:`repro.core.fastpairs`), and the dict engine otherwise.
     Explicit names are honoured as given.
     """
     if engine not in ENGINES:
@@ -130,7 +130,7 @@ def _resolve_engine(g1: Graph, g2: Graph, engine: str) -> str:
         return engine
     if g1.is_weighted() or g2.is_weighted():
         return "dict"
-    return "incremental"
+    return "msbfs"
 
 
 def delta_histogram(
@@ -143,23 +143,24 @@ def delta_histogram(
     ``O(n (n + m))`` time, ``O(n)`` memory beyond the histogram.
 
     ``engine`` selects the implementation: ``"dict"`` streams Python
-    distance maps (works for weighted graphs), ``"csr"`` runs the
-    vectorised unweighted fast path recomputing both traversals,
-    ``"incremental"`` repairs each t1 traversal into its t2 counterpart
-    through the precomputed snapshot delta, and ``"auto"`` (default)
-    picks ``incremental`` whenever both snapshots are unweighted.  All
-    engines return identical histograms — a property the test suite
-    pins down.
+    distance maps (works for weighted graphs), ``"csr"`` compares
+    unpacked level rows of both traversals, ``"msbfs"`` counts Δ on the
+    bit planes of 64-source sweeps with ``popcount``, and ``"auto"``
+    (default) picks ``msbfs`` whenever both snapshots are unweighted.
+    All engines return identical histograms — a property the test
+    suite pins down.
     """
     if validate:
         check_snapshot_pair(g1, g2)
     resolved = _resolve_engine(g1, g2, engine)
-    if resolved != "dict":
+    if resolved == "msbfs":
+        from repro.core.fastpairs import msbfs_delta_histogram
+
+        return msbfs_delta_histogram(g1, g2)
+    if resolved == "csr":
         from repro.core.fastpairs import csr_delta_histogram
 
-        return csr_delta_histogram(
-            g1, g2, incremental=resolved == "incremental"
-        )
+        return csr_delta_histogram(g1, g2)
     rank = {u: i for i, u in enumerate(g1.nodes())}
     hist: Counter = Counter()
     for u, d1, d2 in _delta_rows(g1, g2, validate=False):
@@ -194,7 +195,7 @@ def _require_prunable(resolved: str, what: str) -> None:
     """Reject ``prune=True`` on engines without level-array bounds."""
     if resolved == "dict":
         raise ValueError(
-            f"prune=True requires an unweighted engine (csr/incremental); "
+            f"prune=True requires an unweighted engine (msbfs/csr); "
             f"the dict engine has no level arrays to bound {what}"
         )
 
@@ -222,13 +223,19 @@ def converging_pairs_at_threshold(
     if prune:
         _require_prunable(resolved, "against the threshold")
     if resolved != "dict":
-        from repro.core.fastpairs import csr_pairs_at_threshold
-
-        rows = csr_pairs_at_threshold(
-            g1, g2, delta_min,
-            incremental=resolved == "incremental",
-            prune=prune,
+        from repro.core.fastpairs import (
+            csr_pairs_at_threshold,
+            msbfs_pairs_at_threshold,
         )
+
+        if resolved == "msbfs" and not prune:
+            rows = msbfs_pairs_at_threshold(g1, g2, delta_min)
+        else:
+            rows = csr_pairs_at_threshold(
+                g1, g2, delta_min,
+                incremental=resolved == "msbfs",
+                prune=prune,
+            )
         for u, v, d1uv, d2uv in rows:
             cu, cv = canonical_pair(u, v)
             out.append(ConvergingPair(cu, cv, d1uv, d2uv))
@@ -254,16 +261,19 @@ def top_k_converging_pairs(
 ) -> List[ConvergingPair]:
     """The exact top-k converging pairs (Problem 1), ground-truth solution.
 
-    Two streaming passes: a Δ histogram to locate the k-th score, then a
-    collection pass at that threshold.  Residual ties at the boundary are
-    broken deterministically by :meth:`ConvergingPair.sort_key`, so equal
-    inputs always yield the same k pairs.  ``engine`` follows
-    :func:`delta_histogram`'s convention and applies to both passes.
+    The ``msbfs`` engine (the ``auto`` choice for unweighted snapshots)
+    makes one pass with a running k-th-Δ threshold; ``csr`` and ``dict``
+    make two streaming passes: a Δ histogram to locate the k-th score,
+    then a collection pass at that threshold.  Residual ties at the
+    boundary are broken deterministically by
+    :meth:`ConvergingPair.sort_key`, so equal inputs always yield the
+    same k pairs.  ``engine`` follows :func:`delta_histogram`'s
+    convention.
 
-    ``prune=True`` (unweighted engines only) replaces the two passes
-    with one Δ-aware pruned pass: it maintains the running k-th best Δ,
-    skips sources whose bound rules them out, and level-cuts the rest
-    (:mod:`repro.graph.prune`).  Because the running threshold never
+    ``prune=True`` (unweighted engines only) replaces them with one
+    Δ-aware pruned pass over level rows: it maintains the running k-th
+    best Δ, skips sources whose bound rules them out, and level-cuts the
+    rest (:mod:`repro.graph.prune`).  Because the running threshold never
     exceeds the final k-th Δ and ties prune only *strictly* below it,
     the returned list is identical — same pairs, same order — to the
     unpruned engines.
@@ -272,23 +282,27 @@ def top_k_converging_pairs(
     """
     if k <= 0:
         raise ValueError(f"k must be positive, got {k}")
+    resolved = _resolve_engine(g1, g2, engine)
     if prune:
-        resolved = _resolve_engine(g1, g2, engine)
         _require_prunable(resolved, "against the running k-th Δ")
+    if prune or resolved == "msbfs":
         if validate:
             check_snapshot_pair(g1, g2)
-        from repro.core.fastpairs import csr_top_k_rows
+        from repro.core.fastpairs import csr_top_k_rows, msbfs_top_k_rows
 
-        rows = csr_top_k_rows(
-            g1, g2, k, incremental=resolved == "incremental", prune=True
-        )
+        if prune:
+            rows = csr_top_k_rows(
+                g1, g2, k, incremental=resolved == "msbfs", prune=True
+            )
+        else:
+            rows = msbfs_top_k_rows(g1, g2, k)
         out: List[ConvergingPair] = []
         for u, v, d1uv, d2uv in rows:
             cu, cv = canonical_pair(u, v)
             out.append(ConvergingPair(cu, cv, d1uv, d2uv))
         out.sort(key=ConvergingPair.sort_key)
         return out[:k]
-    hist = delta_histogram(g1, g2, validate=validate, engine=engine)
+    hist = delta_histogram(g1, g2, validate=validate, engine=resolved)
     # Find the smallest positive threshold with at least k pairs above it.
     threshold = None
     cumulative = 0
@@ -300,7 +314,7 @@ def top_k_converging_pairs(
     if threshold is None:
         return []
     pairs = converging_pairs_at_threshold(
-        g1, g2, threshold, validate=False, engine=engine
+        g1, g2, threshold, validate=False, engine=resolved
     )
     return pairs[:k]
 

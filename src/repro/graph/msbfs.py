@@ -12,8 +12,10 @@ so a single sweep advances every traversal in the batch at once —
 * one level step OR-accumulates each frontier node's word into its
   neighbors' ``next`` words (``np.bitwise_or.at`` — a scatter with
   duplicate accumulation), then masks off already-visited lanes;
-* the freshly set bits are unpacked back into per-source ``int32``
-  level rows.
+* each level's freshly set words form one *plane*
+  (:func:`msbfs_planes`); unpacking the planes yields per-source
+  ``int32`` level rows, while the bit-plane Δ engine in
+  :mod:`repro.core.fastpairs` counts them with ``popcount`` instead.
 
 BFS levels do not depend on visit order within a level, so the output is
 **bit-identical** to running :func:`~repro.graph.csr.bfs_levels` once per
@@ -28,7 +30,7 @@ results obtained, not frontier sweeps — see docs/budget-model.md).
 from __future__ import annotations
 
 import sys
-from typing import Iterator, Sequence, Tuple, Union
+from typing import Iterator, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -42,6 +44,9 @@ DEFAULT_BATCH = 64
 
 Sources = Union[Sequence[int], np.ndarray, range]
 
+#: One BFS level of a batch in bit space: ``(nodes, lane words)``.
+Plane = Tuple[np.ndarray, np.ndarray]
+
 
 def _as_source_array(csr: CSRGraph, sources: Sources) -> np.ndarray:
     src = np.asarray(sources, dtype=np.int64).ravel()
@@ -52,18 +57,25 @@ def _as_source_array(csr: CSRGraph, sources: Sources) -> np.ndarray:
     return src
 
 
-def _msbfs_block(csr: CSRGraph, src: np.ndarray) -> np.ndarray:
-    """Level rows for one batch of at most :data:`WORD_BITS` · words sources."""
+def msbfs_planes(csr: CSRGraph, src: np.ndarray) -> List[Plane]:
+    """Per-level fresh lane words of one sweep over a batch of sources.
+
+    ``planes[d]`` is ``(nodes, words)``: the ascending node indices
+    first reached at depth ``d`` by at least one lane, and their
+    ``(len(nodes), ceil(len(src) / 64))`` ``uint64`` words holding
+    exactly the lanes that reached them at ``d`` (lane ``j`` is bit
+    ``j % 64`` of word ``j // 64``).  ``planes[0]`` holds the seeds.
+    Every (lane, node) pair at a finite distance appears in exactly one
+    plane, so the planes are the level rows of the batch in bit space —
+    :func:`msbfs_levels` unpacks them, the bit-plane Δ engine
+    (:mod:`repro.core.fastpairs`) counts them with ``popcount`` without
+    unpacking.
+    """
     n = csr.num_nodes
     b = int(src.size)
     words = (b + WORD_BITS - 1) // WORD_BITS
-    levels = np.full((b, n), UNREACHED, dtype=np.int32)
     lanes = np.arange(b, dtype=np.int64)
-    levels[lanes, src] = 0
-
     visited = np.zeros((n, words), dtype=np.uint64)
-    frontier = np.zeros((n, words), dtype=np.uint64)
-    scratch = np.zeros((n, words), dtype=np.uint64)
     lane_word = lanes // WORD_BITS
     lane_bit = np.left_shift(
         np.uint64(1), (lanes % WORD_BITS).astype(np.uint64)
@@ -71,15 +83,16 @@ def _msbfs_block(csr: CSRGraph, src: np.ndarray) -> np.ndarray:
     # Duplicate sources (two lanes seeded on one node) must both set
     # their bits, so the seed is a scatter-OR, not plain assignment.
     np.bitwise_or.at(visited, (src, lane_word), lane_bit)
-    np.bitwise_or.at(frontier, (src, lane_word), lane_bit)
+    seeds = np.flatnonzero(visited.any(axis=1))
+    planes = [(seeds, visited[seeds])]
+    frontier = visited.copy()
+    scratch = np.zeros((n, words), dtype=np.uint64)
 
     indptr, indices = csr.indptr, csr.indices
-    depth = 0
     while True:
         active = np.flatnonzero(frontier.any(axis=1))
         if not active.size:
             break
-        depth += 1
         starts = indptr[active]
         counts = indptr[active + 1] - starts
         nonzero = counts > 0
@@ -95,15 +108,35 @@ def _msbfs_block(csr: CSRGraph, src: np.ndarray) -> np.ndarray:
         if not reached.size:
             break
         visited[reached] |= scratch[reached]
-        fresh = scratch[reached]
-        if sys.byteorder != "little":  # pragma: no cover - BE hosts only
-            fresh = fresh.byteswap()
-        bits = np.unpackbits(
-            fresh.view(np.uint8), axis=1, bitorder="little"
-        )
-        node_pos, lane = np.nonzero(bits[:, :b])
-        levels[lane, reached[node_pos]] = depth
+        planes.append((reached, scratch[reached]))
         frontier, scratch = scratch, frontier
+    return planes
+
+
+def unpack_lanes(words: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(row, lane)`` of every set bit in a ``(rows, words)`` word array.
+
+    Rows ascend and lanes ascend within a row (``np.nonzero`` order).
+    """
+    if sys.byteorder != "little":  # pragma: no cover - BE hosts only
+        words = words.byteswap()
+    bits = np.unpackbits(
+        words.reshape(len(words), -1).view(np.uint8), axis=1,
+        bitorder="little",
+    )
+    return np.nonzero(bits)
+
+
+def _msbfs_block(csr: CSRGraph, src: np.ndarray) -> np.ndarray:
+    """Level rows for one batch of sources: the planes, unpacked."""
+    b = int(src.size)
+    levels = np.full((b, csr.num_nodes), UNREACHED, dtype=np.int32)
+    levels[np.arange(b), src] = 0
+    planes = msbfs_planes(csr, src)
+    for depth in range(1, len(planes)):
+        reached, fresh = planes[depth]
+        node_pos, lane = unpack_lanes(fresh)
+        levels[lane, reached[node_pos]] = depth
     return levels
 
 

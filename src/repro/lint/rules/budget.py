@@ -46,6 +46,7 @@ SSSP_ENTRY_POINTS = frozenset({
     # amortises frontier sweeps, never charges (docs/budget-model.md).
     "msbfs_levels",
     "iter_msbfs_rows",
+    "msbfs_planes",
     "bfs_distances_many",
 })
 

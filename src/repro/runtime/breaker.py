@@ -1,11 +1,11 @@
-"""Clock-free circuit breaker gating the incremental repair engine.
+"""Clock-free circuit breaker gating the runtime's direct engine path.
 
-The streaming runtime prefers delta-BFS repairs
-(:mod:`repro.graph.incremental`) because they are cheap, but a stream
-that keeps violating the subgraph precondition (deletions, re-keyed
-nodes) makes every repair attempt a wasted validation pass before the
-inevitable full-BFS fallback.  The breaker turns that per-window retry
-into a state machine:
+The streaming runtime prefers the direct path (the ``auto`` ground-truth
+engine on the raw snapshot pair) because it is cheap, but a stream that
+keeps violating the subgraph precondition (deletions, re-keyed nodes)
+makes every direct attempt a wasted validation pass before the
+inevitable repaired-pair fallback.  The breaker turns that per-window
+retry into a state machine:
 
 * **CLOSED** — repairs are attempted; ``failure_threshold`` consecutive
   failures trip the breaker OPEN.

@@ -10,9 +10,10 @@ always-on service loop over a sanitized edge stream:
    source);
 2. every ``checkpoint_every`` batches close a **window**: the top-k
    converging pairs between the snapshot at the window's start and its
-   end are computed — through the incremental delta-BFS engine while
-   the :class:`~repro.runtime.breaker.CircuitBreaker` is closed, through
-   the full-BFS fallback while it is open;
+   end are computed — through the engine ``auto`` resolves to (the
+   bit-plane ``msbfs`` engine for unweighted snapshots) while the
+   :class:`~repro.runtime.breaker.CircuitBreaker` is closed, through the
+   repaired-pair ``csr`` fallback while it is open;
 3. each closed window is followed by a checkpoint
    (:class:`~repro.resilience.checkpoint.CheckpointStore`) and WAL
    compaction, so recovery cost stays bounded.
@@ -39,7 +40,11 @@ from pathlib import Path
 from typing import Any, Callable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.algorithm import find_top_k_converging_pairs
-from repro.core.pairs import ConvergingPair, top_k_converging_pairs
+from repro.core.pairs import (
+    ConvergingPair,
+    _resolve_engine,
+    top_k_converging_pairs,
+)
 from repro.graph.dynamic import TemporalGraph
 from repro.graph.graph import Graph
 from repro.graph.validation import GraphValidationError, repair_snapshot_pair
@@ -109,6 +114,13 @@ class RuntimeConfig:
         return self.batch_size * self.checkpoint_every
 
 
+#: Window engine labels written by earlier releases, mapped to the engine
+#: that now computes the same windows (``incremental`` was the unweighted
+#: ``auto`` engine before ``msbfs`` replaced it), so a run recovered from
+#: an old checkpoint renders exactly like a fresh one.
+_LEGACY_ENGINE_LABELS = {"incremental": "msbfs"}
+
+
 @dataclass(frozen=True)
 class WindowResult:
     """One closed window: its extent, engine, and ranked pairs."""
@@ -136,7 +148,9 @@ class WindowResult:
             index=int(payload["index"]),
             start=int(payload["start"]),
             end=int(payload["end"]),
-            engine=str(payload["engine"]),
+            engine=_LEGACY_ENGINE_LABELS.get(
+                str(payload["engine"]), str(payload["engine"])
+            ),
             pairs=tuple(
                 ConvergingPair(row[0], row[1], row[2], row[3])
                 for row in payload["pairs"]
@@ -225,7 +239,7 @@ class StreamRuntime:
         sequence (``wal.append.mid``, ``checkpoint.mid``,
         ``repair.mid``); the chaos suite SIGKILLs there.
     repair_injector / window_injector:
-        Deterministic fault hooks: the first fails incremental repair
+        Deterministic fault hooks: the first fails direct-engine
         attempts (exercising the breaker), the second fails whole
         window computations (exercising the supervisor).
     on_advance:
@@ -530,10 +544,11 @@ class StreamRuntime:
         self, index: int, g1: Graph, g2: Graph
     ) -> Tuple[List[ConvergingPair], str, bool]:
         if self.config.selector is None:
+            engine = _resolve_engine(g1, g2, "auto")
             pairs = top_k_converging_pairs(
-                g1, g2, self.config.k, validate=True, engine="incremental"
+                g1, g2, self.config.k, validate=True, engine=engine
             )
-            return pairs, "incremental", True
+            return pairs, engine, True
         if g1.num_nodes < 2:
             # No pair can have a finite G_t1 distance, and selectors
             # cannot nominate candidates from an (almost) empty graph —
@@ -550,8 +565,8 @@ class StreamRuntime:
     def _fallback_pairs(
         self, index: int, g1: Graph, g2: Graph
     ) -> Tuple[List[ConvergingPair], str, bool]:
-        """Full-BFS degraded path: repair the pair, never trust the
-        incremental engine.
+        """Degraded path: repair the pair, then run the reference
+        ``csr`` engine.
 
         ``repair_snapshot_pair`` projects ``g2`` onto the nearest valid
         superset of ``g1`` (a no-op copy when the pair is already

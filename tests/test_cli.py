@@ -1,8 +1,44 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _fresh_python(code: str) -> str:
+    """Run ``code`` in a new interpreter that imports from ``src``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True,
+        text=True, timeout=120, check=True,
+    )
+    return done.stdout
+
+
+class TestImportCost:
+    def test_cli_import_leaves_ml_and_scipy_optimize_unloaded(self):
+        out = _fresh_python(
+            "import sys, repro.cli\n"
+            "print(sorted(m for m in ('repro.ml', 'scipy.optimize')"
+            " if m in sys.modules))"
+        )
+        assert out.strip() == "[]"
+
+    def test_ml_still_reachable_from_the_package(self):
+        out = _fresh_python(
+            "import repro\n"
+            "from repro import *\n"
+            "print(ml.__name__, repro.ml is ml, 'ml' in repro.__all__)"
+        )
+        assert out.split() == ["repro.ml", "True", "True"]
 
 
 class TestListing:
@@ -70,7 +106,7 @@ class TestTruth:
     def test_engine_choice_is_byte_invisible(self, capsys):
         """The engine flag is an execution detail, never a result."""
         outputs = []
-        for engine in ["incremental", "csr", "dict"]:
+        for engine in ["msbfs", "csr", "dict"]:
             rc = main(["truth", "facebook", "--scale", "0.1",
                        "--delta-offset", "1", "--engine", engine])
             assert rc == 0

@@ -1,10 +1,14 @@
-"""Equivalence tests: the CSR ground-truth engine vs the dict engine."""
+"""Equivalence tests: the msbfs and CSR ground-truth engines vs the dict engine."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.fastpairs import csr_delta_histogram, csr_pairs_at_threshold
+from repro.core.fastpairs import (
+    csr_delta_histogram,
+    csr_pairs_at_threshold,
+    msbfs_delta_histogram,
+)
 from repro.core.pairs import (
     converging_pairs_at_threshold,
     delta_histogram,
@@ -16,17 +20,17 @@ from conftest import random_snapshot_pair
 
 
 class TestEngineDispatch:
-    def test_auto_picks_incremental_for_unweighted(self, shortcut_pair):
+    def test_auto_picks_msbfs_for_unweighted(self, shortcut_pair):
         g1, g2 = shortcut_pair
         from repro.core.pairs import _resolve_engine
 
-        assert _resolve_engine(g1, g2, "auto") == "incremental"
+        assert _resolve_engine(g1, g2, "auto") == "msbfs"
         # Same result every way; smoke the dispatch paths explicitly.
         auto = delta_histogram(g1, g2, engine="auto")
-        inc = delta_histogram(g1, g2, engine="incremental")
+        bits = delta_histogram(g1, g2, engine="msbfs")
         csr = delta_histogram(g1, g2, engine="csr")
         dict_ = delta_histogram(g1, g2, engine="dict")
-        assert auto == inc == csr == dict_
+        assert auto == bits == csr == dict_
 
     def test_auto_falls_back_for_weighted(self):
         g1 = Graph([(0, 1, 2.0), (1, 2, 2.0)])
@@ -57,11 +61,11 @@ class TestExampleEquivalence:
         g1, g2 = random_snapshot_pair(num_nodes=40, num_edges=110, seed=seed)
         reference = delta_histogram(g1, g2, engine="dict")
         assert reference == csr_delta_histogram(g1, g2)
-        assert reference == csr_delta_histogram(g1, g2, incremental=True)
+        assert reference == msbfs_delta_histogram(g1, g2)
 
     @pytest.mark.parametrize("seed", [125, 126])
     @pytest.mark.parametrize("delta_min", [1, 2])
-    @pytest.mark.parametrize("fast_engine", ["csr", "incremental"])
+    @pytest.mark.parametrize("fast_engine", ["csr", "msbfs"])
     def test_threshold_pairs_identical(self, seed, delta_min, fast_engine):
         g1, g2 = random_snapshot_pair(num_nodes=40, num_edges=110, seed=seed)
         slow = converging_pairs_at_threshold(
@@ -74,7 +78,7 @@ class TestExampleEquivalence:
             (p.u, p.v, p.d1, p.d2) for p in fast
         ]
 
-    @pytest.mark.parametrize("engine", ["auto", "incremental", "csr", "dict"])
+    @pytest.mark.parametrize("engine", ["auto", "msbfs", "csr", "dict"])
     def test_top_k_unchanged_by_engine(self, shortcut_pair, engine):
         g1, g2 = shortcut_pair
         top = top_k_converging_pairs(g1, g2, k=3, engine=engine)
@@ -108,7 +112,7 @@ class TestEquivalenceProperty:
         g1, g2 = pair
         reference = delta_histogram(g1, g2, engine="dict")
         assert reference == delta_histogram(g1, g2, engine="csr")
-        assert reference == delta_histogram(g1, g2, engine="incremental")
+        assert reference == delta_histogram(g1, g2, engine="msbfs")
 
     @settings(max_examples=50, deadline=None)
     @given(snapshot_pair_strategy(), st.integers(min_value=1, max_value=4))

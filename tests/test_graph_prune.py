@@ -275,7 +275,7 @@ class TestPrunedEquivalence:
         g1, g2 = pair
         ref = top_k_converging_pairs(g1, g2, k)
         assert ref == nx_top_k(g1, g2, k)
-        for engine in ("incremental", "csr"):
+        for engine in ("msbfs", "csr"):
             assert (
                 top_k_converging_pairs(g1, g2, k, engine=engine, prune=True)
                 == ref
@@ -287,7 +287,7 @@ class TestPrunedEquivalence:
         g1, g2 = pair
         ref = top_k_converging_pairs(g1, g2, k)
         assert ref == nx_top_k(g1, g2, k)
-        for engine in ("incremental", "csr"):
+        for engine in ("msbfs", "csr"):
             assert (
                 top_k_converging_pairs(g1, g2, k, engine=engine, prune=True)
                 == ref
@@ -298,7 +298,7 @@ class TestPrunedEquivalence:
     def test_threshold_collection_pruned_equals_unpruned(self, pair, dmin):
         g1, g2 = pair
         ref = converging_pairs_at_threshold(g1, g2, dmin)
-        for engine in ("incremental", "csr"):
+        for engine in ("msbfs", "csr"):
             assert (
                 converging_pairs_at_threshold(
                     g1, g2, dmin, engine=engine, prune=True
@@ -327,7 +327,7 @@ class TestPrunedEquivalence:
         g2.add_edge(99, 3)
         ref = top_k_converging_pairs(g1, g2, 8)
         assert all(99 not in (p.u, p.v) for p in ref)
-        for engine in ("incremental", "csr"):
+        for engine in ("msbfs", "csr"):
             assert (
                 top_k_converging_pairs(g1, g2, 8, engine=engine, prune=True)
                 == ref

@@ -1,7 +1,7 @@
 """Pruning-equivalence differential harness.
 
 The Δ-aware pruning layer promises two things: byte-identical output
-across the whole engine matrix (prune × incremental × worker count ×
+across the whole engine matrix (prune × engine × worker count ×
 CLI), and an untouched budget ledger — a skipped or level-cut traversal
 charges exactly like the unpruned traversal it replaces, because the
 paper's budget counts SSSP *results obtained*, not edges scanned.  This
@@ -34,7 +34,7 @@ class TestGroundTruthMatrix:
     def test_top_k_identical_across_the_matrix(self, seed, k):
         g1, g2 = random_snapshot_pair(num_nodes=50, num_edges=120, seed=seed)
         ref = top_k_converging_pairs(g1, g2, k)
-        for engine in ("incremental", "csr"):
+        for engine in ("msbfs", "csr"):
             for prune in (False, True):
                 assert (
                     top_k_converging_pairs(
@@ -48,7 +48,7 @@ class TestGroundTruthMatrix:
     def test_threshold_identical_across_the_matrix(self, seed, delta_min):
         g1, g2 = random_snapshot_pair(num_nodes=50, num_edges=120, seed=seed)
         ref = converging_pairs_at_threshold(g1, g2, delta_min)
-        for engine in ("incremental", "csr"):
+        for engine in ("msbfs", "csr"):
             for prune in (False, True):
                 assert (
                     converging_pairs_at_threshold(
@@ -165,7 +165,7 @@ def stream_path(tmp_path_factory):
 
 
 class TestCLIByteIdentity:
-    @pytest.mark.parametrize("engine", ["auto", "incremental", "csr"])
+    @pytest.mark.parametrize("engine", ["auto", "msbfs", "csr"])
     def test_truth_top_k_identical(self, engine, stream_path, capsys):
         capsys.readouterr()
         outputs = {}

@@ -4,6 +4,7 @@ import pytest
 
 from repro.graph.dynamic import TemporalGraph
 from repro.resilience import capture_events
+from repro.resilience.checkpoint import CheckpointStore
 from repro.resilience.faults import FaultInjector, FaultPlan
 from repro.runtime import (
     ResourceGuard,
@@ -12,6 +13,7 @@ from repro.runtime import (
     StreamRuntime,
     SupervisorGivingUp,
 )
+from repro.runtime.engine import WindowResult
 
 from conftest import random_temporal_graph
 
@@ -30,7 +32,7 @@ def dirty_stream():
     """An insertion stream with deletions sprinkled in: most windows
     past the warm-up delete an edge inserted *before* the window
     started, so G_t1 is no longer a subgraph of G_t2 and the
-    incremental engine's precondition fails."""
+    direct engine's subgraph precondition fails."""
     tg = random_temporal_graph(25, 90, seed=4)
     events = list(tg.events())
     out = TemporalGraph()
@@ -68,7 +70,7 @@ class TestAdvancement:
         assert report.consumed == len(stream)
         # 120 events / 12 per window -> 10 full windows.
         assert [w.end - w.start for w in report.windows] == [12] * 10
-        assert all(w.engine == "incremental" for w in report.windows)
+        assert all(w.engine == "msbfs" for w in report.windows)
 
     def test_partial_final_window(self, tmp_path, config):
         stream = random_temporal_graph(20, 30, seed=5)  # 30 = 2*12 + 6
@@ -292,6 +294,38 @@ class TestBudgetedMode:
             if resumed.status == "complete":
                 break
         assert resumed is not None
+        assert resumed.render() == uninterrupted.render()
+
+
+class TestLegacyEngineLabel:
+    """Checkpoints written while ``incremental`` was the unweighted engine."""
+
+    def test_payload_label_migrates_to_msbfs(self):
+        row = {"index": 0, "start": 0, "end": 12, "engine": "incremental",
+               "pairs": [[1, 2, 3, 1]]}
+        window = WindowResult.from_payload(row)
+        assert window.engine == "msbfs"
+        assert window.to_payload()["engine"] == "msbfs"
+        row["engine"] = "csr-fallback"
+        assert WindowResult.from_payload(row).engine == "csr-fallback"
+
+    def test_old_checkpoint_resumes_like_a_fresh_run(
+        self, tmp_path, stream, config
+    ):
+        uninterrupted = StreamRuntime(stream, tmp_path / "a", config).run()
+        paused = StreamRuntime(stream, tmp_path / "b", config).run(
+            max_batches=5
+        )
+        assert paused.status != "complete" and paused.windows
+        store = CheckpointStore(tmp_path / "b" / "checkpoints")
+        for key in list(store.keys()):
+            payload = store.get(key)
+            for row in payload["windows"]:
+                assert row["engine"] == "msbfs"
+                row["engine"] = "incremental"
+            store.put(key, payload)
+        resumed = StreamRuntime(stream, tmp_path / "b", config).run()
+        assert resumed.status == "complete"
         assert resumed.render() == uninterrupted.render()
 
 
