@@ -16,9 +16,6 @@ enforces a per-schema speedup floor on the best recorded speedup:
 * ``bench-incremental/v1`` (``BENCH_incremental.json``) — floor 1.3× on
   the best dataset.  The win is algorithmic, so it must exist on any
   host.
-* ``bench-prune/v1`` (``BENCH_prune.json``) — floor 1.5× on the best
-  dataset/engine cell of the Δ-aware pruned top-k pass.  Also
-  algorithmic: skipped and level-cut traversals save work on any host.
 * ``bench-service/v1`` (``BENCH_service.json``) — floor 1.5× on the
   best of the query service's cached-answer and coalesced-burst
   speedups over a cold compute; serving a version-keyed cached answer
@@ -96,31 +93,6 @@ def _check_incremental(baseline: dict) -> List[str]:
     return problems
 
 
-def _check_prune(baseline: dict) -> List[str]:
-    problems = []
-    datasets = baseline.get("datasets")
-    if not isinstance(datasets, dict) or not datasets:
-        return ["must record at least one dataset"]
-    for name, row in datasets.items():
-        engines = row.get("engines")
-        if not isinstance(engines, dict) or not engines:
-            problems.append(f"dataset {name!r}: must record engines")
-            continue
-        for engine, cell in engines.items():
-            where = f"dataset {name!r} engine {engine!r}"
-            for field in ("full_s", "pruned_s", "speedup"):
-                value = cell.get(field)
-                if not isinstance(value, (int, float)) or value <= 0:
-                    problems.append(f"{where}: bad {field}")
-            # The counters make every speedup attributable: a baseline
-            # that neither skipped nor cut anything measured nothing.
-            for field in ("skipped", "cut"):
-                value = cell.get(field)
-                if not isinstance(value, int) or value < 0:
-                    problems.append(f"{where}: bad {field}")
-    return problems
-
-
 def _check_service(baseline: dict) -> List[str]:
     problems = []
     latency = baseline.get("latency_ms")
@@ -193,12 +165,6 @@ SCHEMAS: Dict[str, SchemaSpec] = {
         default_floor=1.3,
         require_multicore=False,
         extra_check=_check_incremental,
-    ),
-    "bench-prune/v1": SchemaSpec(
-        required=("schema", "scale", "k", "host", "datasets", "speedup"),
-        default_floor=1.5,
-        require_multicore=False,
-        extra_check=_check_prune,
     ),
     "bench-service/v1": SchemaSpec(
         required=("schema", "scale", "host", "latency_ms", "coalescing",

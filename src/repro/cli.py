@@ -164,14 +164,9 @@ def cmd_characteristics(args) -> int:
 def cmd_truth(args) -> int:
     temporal = _load_input(args.input, args.scale, args.seed)
     g1, g2 = _snapshots(temporal, args.split)
-    if args.prune and _resolve_engine(g1, g2, args.engine) == "dict":
-        raise CLIError(
-            "--prune requires an unweighted engine (msbfs/csr); "
-            "this input resolves to the dict engine"
-        )
     if args.k is not None:
         pairs = top_k_converging_pairs(
-            g1, g2, k=args.k, engine=args.engine, prune=args.prune
+            g1, g2, k=args.k, engine=args.engine
         )
     else:
         hist = delta_histogram(g1, g2, engine=args.engine)
@@ -181,7 +176,7 @@ def cmd_truth(args) -> int:
             return 0
         delta = max(1, max(positive) - args.delta_offset)
         pairs = converging_pairs_at_threshold(
-            g1, g2, delta, engine=args.engine, prune=args.prune
+            g1, g2, delta, engine=args.engine
         )
         print(f"δ = {delta:g} (Δmax = {max(positive):g}), k = {len(pairs)}")
     _print_pairs(pairs, args.limit)
@@ -808,11 +803,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="δ = Δmax − offset when --k is absent")
     truth.add_argument("--limit", type=int, default=20,
                        help="pairs to print")
-    truth.add_argument("--prune", action="store_true",
-                       help="Δ-aware pruned traversals: skip or level-cut "
-                            "t2 work that provably cannot change the "
-                            "output (unweighted engines only; "
-                            "byte-identical results)")
     truth.add_argument("--engine", default="auto",
                        choices=["auto", "msbfs", "csr", "dict"],
                        help="ground-truth engine (auto: msbfs bit-plane "

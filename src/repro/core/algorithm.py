@@ -69,7 +69,6 @@ def find_top_k_converging_pairs(
     validate: bool = True,
     budget_limit: Optional[int] = -1,
     workers: int = 1,
-    prune: bool = False,
 ) -> TopKResult:
     """Algorithm 1: budgeted top-k converging pairs.
 
@@ -95,18 +94,6 @@ def find_top_k_converging_pairs(
         Process-pool size for the phase-2 per-candidate SSSP batch
         (1 = serial).  Results and budget accounting are bit-identical
         at any worker count; candidate selection (phase 1) is untouched.
-    prune:
-        Apply Δ-aware pruning (:mod:`repro.graph.prune`) to the phase-2
-        traversals: serial runs maintain the running k-th best Δ and
-        skip or level-cut candidates whose bound rules them out; pooled
-        workers apply the static Δ ≥ 1 bound (rows are precomputed, so
-        no running k-th exists yet).  The returned pairs and the budget
-        ledger are identical either way — a skipped or cut traversal
-        still charges as one SSSP, exactly like an unpruned one, because
-        the paper's budget counts SSSP *results obtained* (the pruned
-        engine provably obtains the same result).  Unweighted snapshots
-        only.
-
     Returns
     -------
     TopKResult
@@ -116,11 +103,6 @@ def find_top_k_converging_pairs(
         raise ValueError(f"k must be >= 1, got {k}")
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    if prune and (g1.is_weighted() or g2.is_weighted()):
-        raise ValueError(
-            "prune=True requires unweighted snapshots; the weighted "
-            "(dict) scoring path has no level arrays to bound"
-        )
     if validate:
         check_snapshot_pair(g1, g2)
 
@@ -158,8 +140,7 @@ def find_top_k_converging_pairs(
         from repro.parallel import derive_run_id
 
         scored = _score_candidates_csr(
-            g1, g2, candidates, result, budget, workers,
-            prune=prune, k=k,
+            g1, g2, candidates, result, budget, workers, k=k,
             # Seeded, collision-safe shm segment identity — everything
             # that shapes the run, nothing from the clock or the pid.
             shm_run_id=derive_run_id(
@@ -187,16 +168,16 @@ def _dict_rows_task(
 def _score_candidates_dict(
     g1: Graph, g2: Graph, candidates: Sequence[Node],
     result: "SelectionResult", budget: SPBudget,
-    workers: int = 1, prune: bool = False, k: int = 0,
-    shm_run_id: Optional[str] = None,
+    workers: int = 1, k: int = 0, shm_run_id: Optional[str] = None,
 ) -> Dict[tuple, ConvergingPair]:
     """Reference scoring path: one distance map pair per candidate.
 
-    ``prune``/``k``/``shm_run_id`` keep the signature interchangeable
-    with ``_score_candidates_csr``; distance maps carry no level arrays
-    to bound (callers reject ``prune=True`` on weighted inputs before
-    reaching here), and dict graphs hold no shareable arrays, so the
-    arena never publishes on this path.
+    Every candidate-incident pair with Δ > 0 is stored, unfiltered:
+    weighted Δ seen from the two endpoints may differ in the last ulp,
+    so skipping a first sighting could change which ``d1``/``d2`` is
+    kept.  ``k``/``shm_run_id`` keep the signature interchangeable with
+    ``_score_candidates_csr``; dict graphs hold no shareable arrays, so
+    the arena never publishes on this path.
     """
     fresh: Dict[Node, tuple] = {}
     if workers > 1:
@@ -234,56 +215,47 @@ def _score_candidates_dict(
     return scored
 
 
-def _csr_rows_task(
-    spec: "Tuple[int, int]",
-) -> "Tuple[Optional[np.ndarray], Optional[np.ndarray]]":
-    """Worker task: fresh level rows for one candidate (CSR path).
+class _KthTracker:
+    """Running k-th best Δ over the pair scores offered so far.
 
-    ``spec`` is ``(i1, i2)`` — the candidate's index in each snapshot's
-    CSR view, or ``-1`` for a row the selector already cached (free).
-    The worker state carries one :class:`SnapshotDelta` shipped once per
-    pool; when both rows are fresh the t2 row is an incremental repair
-    of the t1 traversal rather than a second traversal (bit-identical
-    either way).  A candidate whose t1 row is cached in the parent has
-    no level array here to repair from, so its t2 row falls back to a
-    full traversal — the worst-case path documented in docs/perf.md.
+    Maintains the top-``k`` positive Δ values seen (an unordered numpy
+    buffer trimmed with ``np.partition``).  :attr:`threshold` is the
+    smallest Δ that could still *enter or tie* the current top-k — 1
+    until ``k`` positive scores exist (any converging pair might still
+    place), then the running k-th value itself.  Keeping pairs at or
+    above the threshold preserves ties at the k-th Δ, so the
+    deterministic ``(−Δ, repr)`` final ordering is untouched.
+
+    Callers must offer each *distinct* pair's Δ at most once: offering a
+    pair from both endpoints would inflate the running k-th past the
+    final one.
     """
-    i1, i2 = spec
-    from repro.graph.csr import bfs_levels
-    from repro.graph.incremental import repair_levels
-    from repro.graph.prune import source_bound
 
-    state = worker_state()
-    delta = state["delta"]
-    plan = state.get("plan")
-    lv1 = None
-    lv2 = None
-    if i1 >= 0:
-        # reprolint: disable=R004 -- charged in the parent's scoring loop before dispatch (ledger stays in-parent)
-        raw1 = bfs_levels(delta.csr1, i1)
-        lv1 = raw1.astype(np.int64)
-        if i2 >= 0:
-            # Static Δ ≥ 1 prune: rows are precomputed before scoring,
-            # so no running k-th Δ exists yet — only the always-sound
-            # "no converging pair at all" bound applies.  The returned
-            # row differs from the exact one only where Δ would be ≤ 0,
-            # which scoring discards, so the result is unchanged.
-            if plan is not None and source_bound(raw1, plan) < 1:
-                lv2 = lv1
-            elif plan is not None:
-                # reprolint: disable=R004 -- the repaired t2 row is the second half of the candidate's SSSP pair, charged in-parent
-                lv2 = repair_levels(
-                    delta, raw1, max_level=int(raw1.max()) - 1
-                )[delta.mapping].astype(np.int64)
-            else:
-                # reprolint: disable=R004 -- the repaired t2 row is the second half of the candidate's SSSP pair, charged in-parent
-                lv2 = repair_levels(delta, raw1)[delta.mapping].astype(
-                    np.int64
-                )
-    if i2 >= 0 and lv2 is None:
-        # reprolint: disable=R004 -- charged in the parent's scoring loop before dispatch (ledger stays in-parent)
-        lv2 = bfs_levels(delta.csr2, i2)[delta.mapping].astype(np.int64)
-    return lv1, lv2
+    __slots__ = ("k", "_top")
+
+    def __init__(self, k: int) -> None:
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
+        self.k = k
+        self._top = np.empty(0, dtype=np.int64)
+
+    def offer(self, deltas: np.ndarray) -> None:
+        """Fold a batch of candidate Δ values into the running top-k."""
+        positive = deltas[deltas > 0]
+        if not positive.size:
+            return
+        merged = np.concatenate([self._top, positive.astype(np.int64)])
+        if merged.size > self.k:
+            cut = merged.size - self.k
+            merged = np.partition(merged, cut)[cut:]
+        self._top = merged
+
+    @property
+    def threshold(self) -> int:
+        """Smallest Δ that could still enter or tie the running top-k."""
+        if self._top.size < self.k:
+            return 1
+        return int(self._top.min())
 
 
 def _csr_rows_batch_task(
@@ -291,22 +263,24 @@ def _csr_rows_batch_task(
 ) -> "List[Tuple[Optional[np.ndarray], Optional[np.ndarray]]]":
     """Worker task: fresh level rows for a batch of candidates (CSR path).
 
-    Per-spec semantics are exactly :func:`_csr_rows_task`'s — same
-    static Δ ≥ 1 prune, same incremental repair, same cached-row
-    fallbacks — but the independent traversals are advanced together by
-    the bit-parallel multi-source kernel: one msbfs block for the
-    batch's fresh t1 rows, one for its cached-t1 → full-t2 fallbacks.
-    The repairs stay per-source (each consumes its own t1 row).  Budget
-    note: batching never changes what is charged — each spec is still
-    one SSSP result per fresh row, charged in-parent.
+    Each spec is ``(i1, i2)`` — the candidate's index in each snapshot's
+    CSR view, or ``-1`` for a row the selector already cached (free).
+    The worker state carries one :class:`SnapshotDelta` shipped once per
+    pool.  The independent traversals are advanced together by the
+    bit-parallel multi-source kernel: one msbfs block for the batch's
+    fresh t1 rows, one for its cached-t1 → full-t2 fallbacks.  When both
+    rows are fresh the t2 row is an incremental repair of the t1 row
+    rather than a second traversal (bit-identical either way); a
+    candidate whose t1 row is cached in the parent has no level array
+    here to repair from, so its t2 row is a full traversal — the
+    worst-case path documented in docs/perf.md.  Budget note: batching
+    never changes what is charged — each spec is still one SSSP result
+    per fresh row, charged in-parent.
     """
     from repro.graph.incremental import repair_levels
     from repro.graph.msbfs import msbfs_levels
-    from repro.graph.prune import source_bound
 
-    state = worker_state()
-    delta = state["delta"]
-    plan = state.get("plan")
+    delta = worker_state()["delta"]
     t1_sources = [i1 for i1, _ in batch if i1 >= 0]
     t2_sources = [i2 for i1, i2 in batch if i1 < 0 and i2 >= 0]
     # reprolint: disable=R004 -- charged in the parent's scoring loop before dispatch (ledger stays in-parent)
@@ -325,18 +299,10 @@ def _csr_rows_batch_task(
             pos1 += 1
             lv1 = raw1.astype(np.int64)
             if i2 >= 0:
-                if plan is not None and source_bound(raw1, plan) < 1:
-                    lv2 = lv1
-                elif plan is not None:
-                    # reprolint: disable=R004 -- the repaired t2 row is the second half of the candidate's SSSP pair, charged in-parent
-                    lv2 = repair_levels(
-                        delta, raw1, max_level=int(raw1.max()) - 1
-                    )[delta.mapping].astype(np.int64)
-                else:
-                    # reprolint: disable=R004 -- the repaired t2 row is the second half of the candidate's SSSP pair, charged in-parent
-                    lv2 = repair_levels(delta, raw1)[delta.mapping].astype(
-                        np.int64
-                    )
+                # reprolint: disable=R004 -- the repaired t2 row is the second half of the candidate's SSSP pair, charged in-parent
+                lv2 = repair_levels(delta, raw1)[delta.mapping].astype(
+                    np.int64
+                )
         if i2 >= 0 and lv2 is None:
             assert block2 is not None
             lv2 = block2[pos2][delta.mapping].astype(np.int64)
@@ -348,8 +314,7 @@ def _csr_rows_batch_task(
 def _score_candidates_csr(
     g1: Graph, g2: Graph, candidates: Sequence[Node],
     result: "SelectionResult", budget: SPBudget,
-    workers: int = 1, prune: bool = False, k: int = 0,
-    shm_run_id: Optional[str] = None,
+    workers: int = 1, *, k: int, shm_run_id: Optional[str] = None,
 ) -> Dict[tuple, ConvergingPair]:
     """Vectorised scoring path for unweighted snapshots.
 
@@ -369,34 +334,25 @@ def _score_candidates_csr(
     initializer); charging and scoring stay in the parent, in candidate
     order.
 
-    ``prune=True`` (with ``k``, the number of pairs the caller will
-    keep) turns on Δ-aware pruning from :mod:`repro.graph.prune`.
-    Serially computed t2 rows are skipped or level-cut against the
-    *running* k-th best Δ of the pairs scored so far; pooled rows are
-    precomputed before any scoring, so workers receive the plan and
-    apply only the static Δ ≥ 1 bound.  Either way the scored map may
-    silently lack (or under-score) pairs that provably rank strictly
-    below the final k-th Δ — the caller's ``ranked[:k]`` truncation is
-    unaffected, which the differential harness pins byte-for-byte.
-    Budget charges are untouched: a pruned traversal charges exactly
-    like the unpruned one it replaces.
+    Only pairs that can still reach the caller's top ``k`` are stored:
+    a hit is kept when its Δ is at or above the running k-th Δ of the
+    pairs stored so far (:class:`_KthTracker`), and each stored pair's
+    Δ is offered once.  The stored pairs are a subset of all pairs, so
+    the threshold never exceeds the final k-th Δ; every pair at or above
+    that (ties included) is stored at its first sighting, and the
+    caller's ``ranked[:k]`` is the same as over the unfiltered map.
+    The threshold depends only on candidate order, so the result is the
+    same at any worker count.
     """
     from repro.graph.csr import UNREACHED, bfs_levels
     from repro.graph.incremental import SnapshotDelta, repair_levels
-    from repro.graph.prune import (
-        KthTracker,
-        PrunePlan,
-        bounded_bfs_levels,
-        source_bound,
-    )
 
     delta = SnapshotDelta.from_graphs(g1, g2)
     csr1, csr2 = delta.csr1, delta.csr2
     n = csr1.num_nodes
     nodes = csr1.nodes
     align = delta.mapping
-    plan = PrunePlan.from_delta(delta) if prune else None
-    tracker = KthTracker(k) if prune else None
+    tracker = _KthTracker(k)
 
     fresh: Dict[Node, tuple] = {}
     if workers > 1:
@@ -416,9 +372,7 @@ def _score_candidates_csr(
                 specs[i : i + width] for i in range(0, len(specs), width)
             ]
             executor = ParallelExecutor(
-                workers,
-                state={"delta": delta, "plan": plan},
-                shm_run_id=shm_run_id,
+                workers, state={"delta": delta}, shm_run_id=shm_run_id
             )
             row_batches = executor.map(
                 _csr_rows_batch_task, batches, unit="topk.sssp"
@@ -453,52 +407,24 @@ def _score_candidates_csr(
             budget.charge("topk", "g2", 1)
             if pre2 is not None:
                 lv2 = pre2
+            elif raw1 is not None:
+                lv2 = repair_levels(delta, raw1)[align].astype(np.int64)
             else:
-                # Serial fresh row: the running k-th Δ is live here, so
-                # the full dynamic prune applies.  The charge above is
-                # deliberately unconditional — a skipped traversal still
-                # obtained its SSSP *result* (provably all-Δ≤kth), and
-                # the paper's budget counts results, not edges scanned.
-                theta = tracker.threshold if tracker is not None else 0
-                bound_lv1 = raw1 if raw1 is not None else lv1
-                if plan is not None and tracker is not None and (
-                    source_bound(bound_lv1, plan) < theta
-                ):
-                    lv2 = lv1
-                elif raw1 is not None:
-                    cut = (
-                        int(raw1.max()) - theta if tracker is not None
-                        else None
-                    )
-                    lv2 = repair_levels(delta, raw1, max_level=cut)[
-                        align
-                    ].astype(np.int64)
-                elif tracker is not None:
-                    lv2 = bounded_bfs_levels(
-                        csr2, csr2.index[c], int(lv1.max()) - theta
-                    )[align].astype(np.int64)
-                else:
-                    lv2 = bfs_levels(csr2, csr2.index[c])[align].astype(
-                        np.int64
-                    )
+                lv2 = bfs_levels(csr2, csr2.index[c])[align].astype(np.int64)
         else:
             lv2 = row_to_levels(cached2, csr1.index)
         reached = lv1 != UNREACHED
         reached[csr1.index[c]] = False
-        hits = np.flatnonzero(reached & (lv1 - lv2 > 0))
-        new_deltas: List[int] = []
+        deltas = lv1 - lv2
+        hits = np.flatnonzero(reached & (deltas >= tracker.threshold))
+        stored: List[int] = []
         for j in hits:
-            v = nodes[j]
-            key = canonical_pair(c, v)
+            key = canonical_pair(c, nodes[j])
             if key not in scored:
                 scored[key] = ConvergingPair(
                     key[0], key[1], int(lv1[j]), int(lv2[j])
                 )
-                if tracker is not None:
-                    new_deltas.append(int(lv1[j]) - int(lv2[j]))
-        # Only first-sighting deltas feed the tracker: offering a pair
-        # from both endpoints would inflate the running k-th and
-        # over-prune past the byte-identity guarantee.
-        if tracker is not None and new_deltas:
-            tracker.offer(np.asarray(new_deltas, dtype=np.int64))
+                stored.append(int(deltas[j]))
+        if stored:
+            tracker.offer(np.asarray(stored, dtype=np.int64))
     return scored

@@ -27,27 +27,18 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.graph.csr import CSRGraph, UNREACHED, bfs_levels
+from repro.graph.csr import CSRGraph, UNREACHED
 from repro.graph.graph import Graph
-from repro.graph.incremental import SnapshotDelta, repair_levels
 from repro.graph.msbfs import (
     DEFAULT_BATCH,
     WORD_BITS,
-    iter_msbfs_rows,
     msbfs_levels,
     msbfs_planes,
     unpack_lanes,
-)
-from repro.graph.prune import (
-    KthTracker,
-    PrunePlan,
-    PruneStats,
-    bounded_bfs_levels,
-    source_bound,
 )
 
 
@@ -89,6 +80,22 @@ def _row_stream(
     return csr1.nodes, recomputed()
 
 
+def _reached_deltas(lv1: np.ndarray, lv2: np.ndarray) -> np.ndarray:
+    """Δ of every t1-reached entry, refusing rows that break ``G_t1 ⊆ G_t2``.
+
+    A node reached at t1 must be reached at t2 no deeper; a t2 level of
+    ``UNREACHED`` would otherwise read as ``Δ = d1 + 1``.
+    """
+    reached = lv1 != UNREACHED
+    r1, r2 = lv1[reached], lv2[reached]
+    if np.any((r2 == UNREACHED) | (r2 > r1)):
+        raise ValueError(
+            "negative distance change: G_t1 is not a subgraph of "
+            "G_t2 (run check_snapshot_pair for details)"
+        )
+    return r1 - r2
+
+
 def csr_delta_histogram(g1: Graph, g2: Graph) -> Counter:
     """Exact Δ histogram over connected t1 pairs (unweighted fast path)."""
     _, rows = _row_stream(g1, g2)
@@ -96,14 +103,8 @@ def csr_delta_histogram(g1: Graph, g2: Graph) -> Counter:
     for i, lv1, lv2 in rows:
         # reprolint: disable=R011 -- _row_stream rows are freshly allocated per source (documented), so in-place masking saves an O(n) copy per row
         lv1[: i + 1] = UNREACHED  # count each unordered pair once
-        reached = lv1 != UNREACHED
-        deltas = lv1[reached] - lv2[reached]
+        deltas = _reached_deltas(lv1, lv2)
         if deltas.size:
-            if deltas.min() < 0:
-                raise ValueError(
-                    "negative distance change: G_t1 is not a subgraph of "
-                    "G_t2 (run check_snapshot_pair for details)"
-                )
             counts = np.bincount(deltas)
             # flatnonzero covers the 0 bin too when Δ = 0 pairs exist.
             for d in np.flatnonzero(counts):
@@ -112,185 +113,24 @@ def csr_delta_histogram(g1: Graph, g2: Graph) -> Counter:
 
 
 def csr_pairs_at_threshold(
-    g1: Graph,
-    g2: Graph,
-    delta_min: float,
-    incremental: bool = False,
-    prune: bool = False,
-    stats: Optional[PruneStats] = None,
+    g1: Graph, g2: Graph, delta_min: float
 ) -> List[Tuple[object, object, int, int]]:
     """All ``(u, v, d1, d2)`` rows with ``Δ >= delta_min`` (u-index < v-index).
 
     Returned as raw tuples; :mod:`repro.core.pairs` wraps them into
-    canonical :class:`~repro.core.pairs.ConvergingPair` objects so both
+    canonical :class:`~repro.core.pairs.ConvergingPair` objects so all
     engines share one construction path.
-
-    ``prune=True`` applies the static Δ-bound from
-    :mod:`repro.graph.prune` at threshold ``θ = ⌈delta_min⌉``: sources
-    whose bound falls below ``θ`` skip their t2 traversal entirely, and
-    surviving traversals are cut at depth ``ecc1 − θ``.  The returned
-    rows are identical, in identical order; ``stats`` (when given)
-    receives the skip/cut counters.  ``incremental`` picks the pruned
-    pass's t2 traversal: a repair of the t1 row (``True``) or a
-    depth-limited BFS (``False``); the unpruned pass ignores it.
     """
-    if prune:
-        return _pruned_pairs_at_threshold(
-            g1, g2, delta_min, incremental=incremental, stats=stats
-        )
     nodes, stream = _row_stream(g1, g2)
     rows: List[Tuple[object, object, int, int]] = []
     for i, lv1, lv2 in stream:
         # reprolint: disable=R011 -- _row_stream rows are freshly allocated per source (documented), so in-place masking saves an O(n) copy per row
         lv1[: i + 1] = UNREACHED
-        reached = lv1 != UNREACHED
-        hits = np.flatnonzero(reached & (lv1 - lv2 >= delta_min))
+        reached = np.flatnonzero(lv1 != UNREACHED)
+        hits = reached[_reached_deltas(lv1, lv2) >= delta_min]
         u = nodes[i]
         for j in hits:
             rows.append((u, nodes[j], int(lv1[j]), int(lv2[j])))
-    return rows
-
-
-def _pruned_pairs_at_threshold(
-    g1: Graph,
-    g2: Graph,
-    delta_min: float,
-    incremental: bool,
-    stats: Optional[PruneStats],
-) -> List[Tuple[object, object, int, int]]:
-    """Static-threshold pruned variant of :func:`csr_pairs_at_threshold`.
-
-    Same row order as the unpruned engines: sources are visited in index
-    order (the threshold is fixed, so there is no gain from reordering),
-    each either skipped outright or traversed level-limited.
-    """
-    delta = SnapshotDelta.from_graphs(g1, g2)
-    plan = PrunePlan.from_delta(delta)
-    if stats is None:
-        stats = PruneStats()
-    # Δ values are integral on unweighted graphs, so a fractional
-    # threshold rounds up to the first achievable one.
-    theta = max(1, math.ceil(delta_min))
-    nodes = delta.csr1.nodes
-    rows: List[Tuple[object, object, int, int]] = []
-    n = delta.csr1.num_nodes
-    stats.sources += n
-    for i, lv1 in iter_msbfs_rows(delta.csr1, range(n)):
-        if source_bound(lv1, plan) < theta:
-            stats.skipped += 1
-            continue
-        stats.cut += 1
-        max_level = int(lv1.max()) - theta
-        if incremental:
-            lv2 = repair_levels(delta, lv1, max_level=max_level)[delta.mapping]
-        else:
-            lv2 = bounded_bfs_levels(
-                delta.csr2, int(delta.mapping[i]), max_level
-            )[delta.mapping]
-        reached = lv1 != UNREACHED
-        reached[: i + 1] = False
-        hits = np.flatnonzero(reached & (lv1 - lv2 >= delta_min))
-        u = nodes[i]
-        for j in hits:
-            rows.append((u, nodes[j], int(lv1[j]), int(lv2[j])))
-    return rows
-
-
-def csr_top_k_rows(
-    g1: Graph,
-    g2: Graph,
-    k: int,
-    *,
-    incremental: bool = True,
-    prune: bool = True,
-    delta: Optional[SnapshotDelta] = None,
-    rows1: Optional[Sequence[np.ndarray]] = None,
-    stats: Optional[PruneStats] = None,
-) -> List[Tuple[object, object, int, int]]:
-    """Single-pass top-k candidate rows with dynamic Δ-aware pruning.
-
-    Returns every ``(u, v, d1, d2)`` row whose Δ was at or above the
-    *running* k-th best Δ at the moment its source was scored — a
-    deterministic superset of the exact top-k.  The caller sorts by
-    ``(−Δ, repr)`` and truncates; because the running threshold never
-    exceeds the final k-th Δ, the truncation yields exactly the same
-    pairs (ties included) as the unpruned two-pass engine.
-
-    ``prune=True`` processes sources in decreasing bound order so the
-    tracker fills with large Δ values early; as soon as the next bound
-    drops below the running threshold, *all* remaining sources are
-    skipped (their t2 traversals never run), and surviving traversals
-    are cut at depth ``ecc1 − threshold``.  ``prune=False`` runs the
-    same single-pass collection without bounds or cuts — the honest
-    baseline the benchmark compares against.
-
-    ``delta`` and ``rows1`` (precomputed t1 level rows, index-aligned,
-    never mutated) let benchmarks time the t2 phase in isolation.
-    """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if delta is None:
-        delta = SnapshotDelta.from_graphs(g1, g2)
-    if stats is None:
-        stats = PruneStats()
-    csr1, csr2, mapping = delta.csr1, delta.csr2, delta.mapping
-    n = csr1.num_nodes
-    stats.sources += n
-    nodes = csr1.nodes
-
-    def t1_row(i: int) -> np.ndarray:
-        if rows1 is not None:
-            return rows1[i]
-        return bfs_levels(csr1, i)
-
-    if prune:
-        plan = PrunePlan.from_delta(delta)
-        bounds = np.empty(n, dtype=np.int64)
-        eccs = np.empty(n, dtype=np.int64)
-        for i in range(n):
-            lv1 = t1_row(i)
-            eccs[i] = int(lv1.max())
-            bounds[i] = source_bound(lv1, plan)
-        order = np.argsort(-bounds, kind="stable")
-    else:
-        order = np.arange(n)
-
-    tracker = KthTracker(k)
-    rows: List[Tuple[object, object, int, int]] = []
-    compact_at = max(4 * k, 256)
-    for pos in range(n):
-        i = int(order[pos])
-        theta = tracker.threshold
-        if prune and bounds[i] < theta:
-            # Bounds are sorted descending: every remaining source is
-            # ruled out by the same comparison.
-            stats.skipped += n - pos
-            break
-        lv1 = t1_row(i)
-        if prune:
-            stats.cut += 1
-            max_level: Optional[int] = int(eccs[i]) - theta
-        else:
-            stats.full += 1
-            max_level = None
-        if incremental:
-            lv2 = repair_levels(delta, lv1, max_level=max_level)[mapping]
-        elif prune:
-            lv2 = bounded_bfs_levels(csr2, int(mapping[i]), max_level)[mapping]
-        else:
-            lv2 = bfs_levels(csr2, int(mapping[i]))[mapping]
-        valid = lv1 != UNREACHED
-        valid[: i + 1] = False  # unordered pairs owned by the lower index
-        deltas = lv1.astype(np.int64) - lv2.astype(np.int64)
-        tracker.offer(deltas[valid])
-        hits = np.flatnonzero(valid & (deltas >= theta))
-        u = nodes[i]
-        for j in hits:
-            rows.append((u, nodes[int(j)], int(lv1[j]), int(lv2[j])))
-        if len(rows) > compact_at:
-            floor = tracker.threshold
-            rows = [r for r in rows if r[2] - r[3] >= floor]
-            compact_at = max(compact_at, 4 * len(rows))
     return rows
 
 

@@ -191,28 +191,15 @@ def k_for_delta_threshold(hist: Counter, delta_min: float) -> int:
     return sum(c for d, c in hist.items() if d >= delta_min)
 
 
-def _require_prunable(resolved: str, what: str) -> None:
-    """Reject ``prune=True`` on engines without level-array bounds."""
-    if resolved == "dict":
-        raise ValueError(
-            f"prune=True requires an unweighted engine (msbfs/csr); "
-            f"the dict engine has no level arrays to bound {what}"
-        )
-
-
 def converging_pairs_at_threshold(
     g1: Graph, g2: Graph, delta_min: float, validate: bool = True,
-    engine: str = "auto", prune: bool = False,
+    engine: str = "auto",
 ) -> List[ConvergingPair]:
     """All connected t1-pairs with ``Δ >= delta_min``, best Δ first.
 
     ``delta_min`` must be positive: Δ = 0 pairs (no change) are never
     "converging", and collecting them would materialise nearly all pairs.
     ``engine`` follows :func:`delta_histogram`'s convention.
-
-    ``prune=True`` (unweighted engines only) skips or level-cuts t2
-    traversals whose Δ bound falls below ``delta_min`` — see
-    :mod:`repro.graph.prune`.  The result is identical, pair for pair.
     """
     if delta_min <= 0:
         raise ValueError(f"delta_min must be positive, got {delta_min}")
@@ -220,22 +207,16 @@ def converging_pairs_at_threshold(
         check_snapshot_pair(g1, g2)
     out: List[ConvergingPair] = []
     resolved = _resolve_engine(g1, g2, engine)
-    if prune:
-        _require_prunable(resolved, "against the threshold")
     if resolved != "dict":
         from repro.core.fastpairs import (
             csr_pairs_at_threshold,
             msbfs_pairs_at_threshold,
         )
 
-        if resolved == "msbfs" and not prune:
+        if resolved == "msbfs":
             rows = msbfs_pairs_at_threshold(g1, g2, delta_min)
         else:
-            rows = csr_pairs_at_threshold(
-                g1, g2, delta_min,
-                incremental=resolved == "msbfs",
-                prune=prune,
-            )
+            rows = csr_pairs_at_threshold(g1, g2, delta_min)
         for u, v, d1uv, d2uv in rows:
             cu, cv = canonical_pair(u, v)
             out.append(ConvergingPair(cu, cv, d1uv, d2uv))
@@ -257,7 +238,7 @@ def converging_pairs_at_threshold(
 
 def top_k_converging_pairs(
     g1: Graph, g2: Graph, k: int, validate: bool = True,
-    engine: str = "auto", prune: bool = False,
+    engine: str = "auto",
 ) -> List[ConvergingPair]:
     """The exact top-k converging pairs (Problem 1), ground-truth solution.
 
@@ -270,34 +251,18 @@ def top_k_converging_pairs(
     same k pairs.  ``engine`` follows :func:`delta_histogram`'s
     convention.
 
-    ``prune=True`` (unweighted engines only) replaces them with one
-    Δ-aware pruned pass over level rows: it maintains the running k-th
-    best Δ, skips sources whose bound rules them out, and level-cuts the
-    rest (:mod:`repro.graph.prune`).  Because the running threshold never
-    exceeds the final k-th Δ and ties prune only *strictly* below it,
-    the returned list is identical — same pairs, same order — to the
-    unpruned engines.
-
     Returns fewer than k pairs when fewer than k pairs have Δ > 0.
     """
     if k <= 0:
         raise ValueError(f"k must be positive, got {k}")
     resolved = _resolve_engine(g1, g2, engine)
-    if prune:
-        _require_prunable(resolved, "against the running k-th Δ")
-    if prune or resolved == "msbfs":
+    if resolved == "msbfs":
         if validate:
             check_snapshot_pair(g1, g2)
-        from repro.core.fastpairs import csr_top_k_rows, msbfs_top_k_rows
+        from repro.core.fastpairs import msbfs_top_k_rows
 
-        if prune:
-            rows = csr_top_k_rows(
-                g1, g2, k, incremental=resolved == "msbfs", prune=True
-            )
-        else:
-            rows = msbfs_top_k_rows(g1, g2, k)
         out: List[ConvergingPair] = []
-        for u, v, d1uv, d2uv in rows:
+        for u, v, d1uv, d2uv in msbfs_top_k_rows(g1, g2, k):
             cu, cv = canonical_pair(u, v)
             out.append(ConvergingPair(cu, cv, d1uv, d2uv))
         out.sort(key=ConvergingPair.sort_key)

@@ -53,13 +53,6 @@ from repro.graph.incremental import (
     levels_pair_indexed,
     repair_levels,
 )
-from repro.graph.prune import (
-    KthTracker,
-    PrunePlan,
-    PruneStats,
-    bounded_bfs_levels,
-    source_bound,
-)
 from repro.graph.stats import (
     average_clustering,
     degree_assortativity,
@@ -117,11 +110,6 @@ __all__ = [
     "levels_pair",
     "levels_pair_indexed",
     "repair_levels",
-    "KthTracker",
-    "PrunePlan",
-    "PruneStats",
-    "bounded_bfs_levels",
-    "source_bound",
     "average_clustering",
     "degree_assortativity",
     "degree_gini",

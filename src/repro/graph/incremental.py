@@ -160,11 +160,7 @@ class SnapshotDelta:
         return self.csr1.index.get(source)
 
 
-def repair_levels(
-    delta: SnapshotDelta,
-    levels1: np.ndarray,
-    max_level: Optional[int] = None,
-) -> np.ndarray:
+def repair_levels(delta: SnapshotDelta, levels1: np.ndarray) -> np.ndarray:
     """Exact ``G_t2`` levels from a source's ``G_t1`` level array.
 
     ``levels1`` is the t1 level array over ``delta.csr1``'s universe
@@ -179,16 +175,6 @@ def repair_levels(
     stops as soon as no remaining node's level exceeds the frontier's
     best achievable level.  Cost is proportional to the affected region,
     not to the whole graph.
-
-    ``max_level`` cuts the relaxation inside the affected region: the
-    frontier loop stops once it would assign levels beyond the cut, so
-    every returned value ≤ ``max_level`` is still exact (the limited run
-    performs iterations identical to the unlimited one up to that depth)
-    while deeper nodes may keep their — larger — t1 levels.  Used by the
-    Δ-pruned engines (:mod:`repro.graph.prune`): targets beyond
-    ``ecc1 − θ`` cannot reach ``Δ ≥ θ``, and an un-repaired node repairs
-    to ``Δ = 0``, which no threshold collects.  ``None`` preserves the
-    exact, bit-identical behaviour.
     """
     n1 = delta.csr1.num_nodes
     n2 = delta.csr2.num_nodes
@@ -230,11 +216,7 @@ def repair_levels(
     d = int(seed_levels.min())
     max_pending = int(seed_levels.max())
     indptr, indices = delta.csr2.indptr, delta.csr2.indices
-    while (
-        d <= max_pending
-        and d + 1 < max_init
-        and (max_level is None or d + 1 <= max_level)
-    ):
+    while d <= max_pending and d + 1 < max_init:
         frontier = np.flatnonzero(stamp == d)
         d += 1
         if frontier.size == 0:

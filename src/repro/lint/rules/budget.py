@@ -35,12 +35,6 @@ SSSP_ENTRY_POINTS = frozenset({
     "repair_levels",
     "levels_pair",
     "levels_pair_indexed",
-    # Δ-aware pruned traversals: a level-cut BFS still obtains the
-    # traversal's budgeted result (every level the output can depend on),
-    # so it charges exactly like the full traversal it replaces — the
-    # pruning layer must never become an uncharged side door.
-    "bounded_bfs_levels",
-    "csr_top_k_rows",
     # Bit-parallel multi-source BFS: one *source* in a batch is one SSSP
     # result of budgeted cost, exactly as if it ran alone — batching
     # amortises frontier sweeps, never charges (docs/budget-model.md).
@@ -62,11 +56,8 @@ R004_GROUND_TRUTH_PATHS = frozenset({
 })
 
 
-#: Modules whose listed entry points count as SSSP work.  The CSR
-#: ground-truth engine (``repro.core.fastpairs``) is included because
-#: ``csr_top_k_rows`` runs O(n) traversals per call — importing it from
-#: an uncharged context would bypass the whole budget model.
-_ENTRY_POINT_MODULES = ("repro.graph", "repro.core.fastpairs")
+#: Modules whose listed entry points count as SSSP work.
+_ENTRY_POINT_MODULES = ("repro.graph",)
 
 
 def _is_entry_point(ctx: FileContext, func: ast.AST) -> bool:

@@ -4,17 +4,17 @@ The executor's worker state used to reach each pool worker by value —
 inherited page-by-page under ``fork`` (copy-on-write, but a copy per
 worker as soon as refcounts touch the pages) and fully re-pickled under
 ``spawn``.  For CSR-backed state (frozen :class:`~repro.graph.csr.CSRGraph`
-views, :class:`~repro.graph.incremental.SnapshotDelta` alignment arrays,
-:class:`~repro.graph.prune.PrunePlan` seeds) that copy is pure waste:
-the arrays are immutable for the lifetime of the pool.
+views and :class:`~repro.graph.incremental.SnapshotDelta` alignment
+arrays) that copy is pure waste: the arrays are immutable for the
+lifetime of the pool.
 
 :class:`SharedCsrArena` publishes every such array into **one**
 ``multiprocessing.shared_memory`` segment, created once per pool:
 
 * :meth:`SharedCsrArena.maybe_publish` decomposes a worker-state dict —
-  ndarray / ``CSRGraph`` / ``SnapshotDelta`` / ``PrunePlan`` values
-  become 64-byte-aligned array slots in the segment; everything else
-  stays ordinary pickled state.  Returns ``None`` when nothing in the
+  ndarray / ``CSRGraph`` / ``SnapshotDelta`` values become 64-byte-aligned
+  array slots in the segment; everything else stays ordinary pickled
+  state.  Returns ``None`` when nothing in the
   state is shareable (e.g. weighted dict-graph state).
 * workers receive only the tiny :class:`ArenaManifest` (segment name,
   array specs, rebuild metadata) through the pool initializer and
@@ -136,7 +136,7 @@ class ArenaManifest:
 
     ``objects`` lists ``(state_key, kind, metadata)`` rebuild specs in
     state-dict order; ``kind`` selects the recomposition (``"array"``,
-    ``"csr"``, ``"delta"``, ``"plan"``) and ``metadata`` carries the
+    ``"csr"``, ``"delta"``) and ``metadata`` carries the
     non-array remainder (node lists for CSR universes).
     """
 
@@ -159,7 +159,6 @@ def _decompose(
     """Split a state dict into shareable arrays, rebuild specs, and rest."""
     from repro.graph.csr import CSRGraph
     from repro.graph.incremental import SnapshotDelta
-    from repro.graph.prune import PrunePlan
 
     arrays: Dict[str, np.ndarray] = {}
     objects: List[Tuple[str, str, Any]] = []
@@ -184,9 +183,6 @@ def _decompose(
             objects.append(
                 (key, "delta", (list(value.csr1.nodes), list(value.csr2.nodes)))
             )
-        elif isinstance(value, PrunePlan):
-            arrays[f"{key}.seed_idx1"] = value.seed_idx1
-            objects.append((key, "plan", None))
         else:
             plain[key] = value
     return arrays, objects, plain
@@ -200,7 +196,6 @@ def _recompose(
     """Rebuild the original state dict over arena-backed views."""
     from repro.graph.csr import CSRGraph
     from repro.graph.incremental import SnapshotDelta
-    from repro.graph.prune import PrunePlan
 
     def get_csr(prefix: str, nodes: List[Any]) -> CSRGraph:
         return CSRGraph(
@@ -223,8 +218,6 @@ def _recompose(
                     for field in _DELTA_FIELDS
                 },
             )
-        elif kind == "plan":
-            state[key] = PrunePlan(seed_idx1=views[f"{key}.seed_idx1"])
         else:  # pragma: no cover - manifest kinds are closed above
             raise ValueError(f"unknown arena object kind {kind!r}")
     state.update(plain)
@@ -347,7 +340,7 @@ class SharedCsrArena:
         if arena is None:
             raise ValueError(
                 "state contains no shareable arrays (ndarray / CSRGraph "
-                "/ SnapshotDelta / PrunePlan values)"
+                "/ SnapshotDelta values)"
             )
         return arena
 

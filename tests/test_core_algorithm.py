@@ -1,13 +1,18 @@
 """Unit tests for repro.core.algorithm (Algorithm 1)."""
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from repro.core.algorithm import find_top_k_converging_pairs
+from repro.core import algorithm as alg
+from repro.core.algorithm import _KthTracker, find_top_k_converging_pairs
 from repro.core.budget import BudgetExceededError, SPBudget
 from repro.core.pairgraph import PairGraph
 from repro.core.pairs import converging_pairs_at_threshold, top_k_converging_pairs
 from repro.graph.graph import Graph
 from repro.graph.validation import GraphValidationError
+from repro.selection import get_selector
 from repro.selection.base import CandidateSelector, SelectionResult
 from repro.selection.oracle import GreedyCoverOracle
 
@@ -260,6 +265,22 @@ class TestCSRScoringPath:
         assert fast.found_pair_set() == ref.found_pair_set()
         assert (0, 3) in fast.found_pair_set()  # 3 -> 2 via node 9
 
+    def test_pair_seen_from_both_endpoints_counts_once(self):
+        # Candidates 0 and 10 both see the Δ = 9 pair (0, 10).  Counted
+        # twice it would lift the running 2nd-best Δ to 9 and drop the
+        # Δ = 8 pair (100, 109) that candidate 100 finds afterwards.
+        g1, g2 = Graph(), Graph()
+        for base, length in ((0, 10), (100, 9)):
+            for i in range(length):
+                g1.add_edge(base + i, base + i + 1)
+                g2.add_edge(base + i, base + i + 1)
+            g2.add_edge(base, base + length)
+        fast, ref = self._run_both(
+            g1, g2, FixedSelector([0, 10, 100]), k=2, m=3
+        )
+        assert [p.pair for p in ref.pairs] == [(0, 10), (100, 109)]
+        assert repr(fast.pairs) == repr(ref.pairs)
+
     def test_weighted_pair_uses_dict_path(self):
         g1 = Graph([(0, 1, 2.0), (1, 2, 2.0)])
         g2 = g1.copy()
@@ -268,3 +289,87 @@ class TestCSRScoringPath:
             g1, g2, k=2, m=2, selector=FixedSelector([0, 2])
         )
         assert result.pairs[0].delta == pytest.approx(3.5)
+
+
+class TestKthTracker:
+    def test_threshold_is_one_until_full(self):
+        t = _KthTracker(3)
+        assert t.threshold == 1
+        t.offer(np.array([5, 4]))
+        assert t.threshold == 1
+        t.offer(np.array([3]))
+        assert t.threshold == 3
+
+    def test_running_kth_over_batches(self):
+        t = _KthTracker(2)
+        t.offer(np.array([1, 9, 2]))
+        assert t.threshold == 2
+        t.offer(np.array([7]))
+        assert t.threshold == 7
+        t.offer(np.array([3]))  # below the running 2nd: no change
+        assert t.threshold == 7
+
+    def test_nonpositive_values_ignored(self):
+        t = _KthTracker(1)
+        t.offer(np.array([0, -4]))
+        assert t.threshold == 1
+        t.offer(np.array([2]))
+        assert t.threshold == 2
+
+    def test_rejects_bad_k(self):
+        with pytest.raises(ValueError):
+            _KthTracker(0)
+
+    @given(
+        st.lists(
+            st.integers(min_value=-3, max_value=20), min_size=0, max_size=40
+        ),
+        st.integers(min_value=1, max_value=6),
+    )
+    def test_matches_offline_kth(self, values, k):
+        t = _KthTracker(k)
+        for v in values:
+            t.offer(np.array([v]))
+        positive = sorted((v for v in values if v > 0), reverse=True)
+        expected = positive[k - 1] if len(positive) >= k else 1
+        assert t.threshold == expected
+
+
+class TestRunningKthFilter:
+    def test_csr_scoring_stores_a_tenth_of_the_pairs(self, monkeypatch):
+        """Counts, not timing: the filter is what keeps Algorithm 1 cheap.
+
+        The unfiltered dict path stores every candidate-incident pair
+        with Δ > 0; the CSR path stores only those at or above the
+        running k-th Δ, and still returns the same pairs and ledger.
+        """
+        from repro.datasets import catalog
+
+        g1, g2 = catalog.load("internet", scale=0.5).snapshot_pair(0.8, 1.0)
+        stored = {}
+
+        def counting(name, score):
+            def wrapper(*args, **kwargs):
+                scored = score(*args, **kwargs)
+                stored[name] = len(scored)
+                return scored
+            return wrapper
+
+        def run():
+            return find_top_k_converging_pairs(
+                g1, g2, k=20, m=100, selector=get_selector("MMSD"), seed=0
+            )
+
+        monkeypatch.setattr(
+            alg, "_score_candidates_csr",
+            counting("csr", alg._score_candidates_csr),
+        )
+        fast = run()
+        monkeypatch.setattr(
+            alg, "_score_candidates_csr",
+            counting("dict", alg._score_candidates_dict),
+        )
+        ref = run()
+        assert repr(fast.pairs) == repr(ref.pairs)
+        assert fast.budget.by_phase() == ref.budget.by_phase()
+        assert 10 * stored["csr"] < stored["dict"]

@@ -9,8 +9,11 @@ Three contracts:
   that exist only at t2, and snapshot pairs with no inserted edge.
 * **Work.**  Single-pass top-k runs exactly one plane sweep per snapshot
   and 64-source block, and never falls back to level rows or repairs.
-* **Guard.**  A pair that breaks ``G_t1 ⊆ G_t2`` is rejected even when
-  validation is skipped.
+* **Guard.**  A pair that breaks ``G_t1 ⊆ G_t2`` is rejected by the
+  ``msbfs`` and ``csr`` engines even when validation is skipped.
+
+The top-k results are also checked against an independent networkx
+oracle, including ties at the k-th Δ.
 """
 
 from __future__ import annotations
@@ -24,8 +27,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro.core.fastpairs as fastpairs
+import repro.graph.csr as csr
+import repro.graph.incremental as incremental
 import repro.graph.msbfs as msbfs
+from conftest import to_networkx
 from repro.core.pairs import (
+    ConvergingPair,
+    canonical_pair,
     converging_pairs_at_threshold,
     delta_histogram,
     top_k_converging_pairs,
@@ -80,6 +88,24 @@ def _agree(results):
         assert repr(got) == first, engine
 
 
+def nx_top_k(g1, g2, k):
+    """Independent networkx ground truth with the library's tie-break."""
+    import networkx as nx
+
+    nx1, nx2 = to_networkx(g1), to_networkx(g2)
+    pairs = []
+    nodes = list(g1.nodes())
+    for i, u in enumerate(nodes):
+        d1 = nx.single_source_shortest_path_length(nx1, u)
+        d2 = nx.single_source_shortest_path_length(nx2, u)
+        for v in nodes[i + 1:]:
+            if v in d1 and d1[v] - d2[v] > 0:
+                cu, cv = canonical_pair(u, v)
+                pairs.append(ConvergingPair(cu, cv, d1[v], d2[v]))
+    pairs.sort(key=ConvergingPair.sort_key)
+    return pairs[:k]
+
+
 class TestByteIdentity:
     @settings(max_examples=60, deadline=None, suppress_health_check=SUPPRESS)
     @given(snapshot_pair())
@@ -103,6 +129,14 @@ class TestByteIdentity:
         g1, g2 = pair
         _agree([top_k_converging_pairs(g1, g2, k, engine=e) for e in ENGINES])
 
+    @settings(max_examples=40, deadline=None, suppress_health_check=SUPPRESS)
+    @given(snapshot_pair(), st.sampled_from([1, 3, 12]))
+    def test_top_k_matches_networkx(self, pair, k):
+        g1, g2 = pair
+        assert repr(top_k_converging_pairs(g1, g2, k)) == repr(
+            nx_top_k(g1, g2, k)
+        )
+
     def test_ties_at_the_kth_delta_and_k_beyond_the_positive_pairs(self):
         # Two disjoint 5-paths, each closed into a 5-cycle at t2: two
         # Δ = 3 pairs and four Δ = 1 pairs, every k cutting through a tie.
@@ -113,9 +147,11 @@ class TestByteIdentity:
                 g2.add_edge(base + i, base + i + 1)
             g2.add_edge(base, base + 4)
         for k in range(1, 9):
-            _agree([
+            results = [
                 top_k_converging_pairs(g1, g2, k, engine=e) for e in ENGINES
-            ])
+            ]
+            _agree(results)
+            assert results[0] == nx_top_k(g1, g2, k)
         assert len(top_k_converging_pairs(g1, g2, 8)) == 6
 
     def test_no_inserted_edges(self):
@@ -168,9 +204,9 @@ class TestSweepCount:
             raise AssertionError("the msbfs engine unpacked rows or repaired")
 
         for module, name in (
-            (fastpairs, "repair_levels"), (fastpairs, "bfs_levels"),
-            (fastpairs, "msbfs_levels"), (fastpairs, "iter_msbfs_rows"),
-            (fastpairs, "bounded_bfs_levels"), (msbfs, "_msbfs_block"),
+            (incremental, "repair_levels"), (csr, "bfs_levels"),
+            (fastpairs, "msbfs_levels"), (msbfs, "iter_msbfs_rows"),
+            (msbfs, "_msbfs_block"),
         ):
             monkeypatch.setattr(module, name, forbidden)
         return calls
@@ -208,13 +244,16 @@ class TestSweepCount:
 class TestSubgraphGuard:
     @staticmethod
     def _entry_points(g1, g2):
-        yield lambda: delta_histogram(g1, g2, validate=False, engine="msbfs")
-        yield lambda: converging_pairs_at_threshold(
-            g1, g2, 1, validate=False, engine="msbfs"
-        )
-        yield lambda: top_k_converging_pairs(
-            g1, g2, 3, validate=False, engine="msbfs"
-        )
+        for engine in ("msbfs", "csr"):
+            yield lambda e=engine: delta_histogram(
+                g1, g2, validate=False, engine=e
+            )
+            yield lambda e=engine: converging_pairs_at_threshold(
+                g1, g2, 1, validate=False, engine=e
+            )
+            yield lambda e=engine: top_k_converging_pairs(
+                g1, g2, 3, validate=False, engine=e
+            )
 
     def test_deleted_edge_is_rejected(self):
         g1 = Graph((i, i + 1) for i in range(5))

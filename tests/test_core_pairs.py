@@ -169,15 +169,15 @@ class TestTopK:
         b = top_k_converging_pairs(g1, g2, k=10)
         assert [p.pair for p in a] == [p.pair for p in b]
 
-    def test_tie_break_order_pinned_across_engines_and_prune(self):
+    def test_tie_break_order_pinned_across_engines(self):
         """Regression pin: the exact ordering of equal-Δ pairs.
 
         Two disjoint path-plus-chord gadgets produce tied Δ groups
         (Δ = 3 twice, Δ = 1 four times).  The ranking inside each group
         is fixed by ``sort_key``'s ``(−Δ, repr(u), repr(v))`` — pinned
-        here literally so no engine (and in particular no pruned
-        engine, whose collection order differs) can silently reorder
-        ties at or below the k-th Δ.
+        here literally so no engine (and in particular not the
+        single-pass ``msbfs`` engine, whose collection order differs)
+        can silently reorder ties at or below the k-th Δ.
         """
         from repro.graph.graph import Graph
 
@@ -193,16 +193,11 @@ class TestTopK:
             (100, 103), (101, 104),
         ]
         for engine in ("msbfs", "csr", "dict"):
-            for prune in (False, True):
-                if prune and engine == "dict":
-                    continue
-                for k in range(1, len(expected) + 1):
-                    top = top_k_converging_pairs(
-                        g1, g2, k=k, engine=engine, prune=prune
-                    )
-                    assert [p.pair for p in top] == expected[:k], (
-                        f"engine={engine} prune={prune} k={k}"
-                    )
+            for k in range(1, len(expected) + 1):
+                top = top_k_converging_pairs(g1, g2, k=k, engine=engine)
+                assert [p.pair for p in top] == expected[:k], (
+                    f"engine={engine} k={k}"
+                )
 
     def test_matches_brute_force(self):
         g1, g2 = random_snapshot_pair(num_nodes=25, num_edges=60, seed=43)

@@ -163,36 +163,35 @@ def test_r004_passes_charging_function_and_engine_module():
     assert engine == []
 
 
-def test_r004_guards_pruned_entry_points():
-    """The pruning layer must not become an uncharged SSSP side door."""
+def test_r004_guards_batched_and_repair_entry_points():
+    """Batched sweeps and repairs must not become uncharged side doors."""
     from repro.lint.rules.budget import SSSP_ENTRY_POINTS
 
-    # Registration pin: a new pruned entry point silently dropped from
-    # the allowlist would let pruned traversals dodge the budget audit.
-    assert {"bounded_bfs_levels", "csr_top_k_rows"} <= SSSP_ENTRY_POINTS
-    # Same pin for the batched multi-source kernels: one source in a
-    # batch is one budgeted SSSP, so they must stay on the allowlist.
+    # Registration pin: one source in a batch is one budgeted SSSP, and
+    # a repaired t2 row is the second SSSP of a snapshot pair, so they
+    # must stay on the allowlist.
     assert {
-        "msbfs_levels", "iter_msbfs_rows", "bfs_distances_many"
+        "msbfs_levels", "iter_msbfs_rows", "msbfs_planes",
+        "bfs_distances_many", "repair_levels",
     } <= SSSP_ENTRY_POINTS
 
-    cut_bfs = lint("""
-        from repro.graph.prune import bounded_bfs_levels
-        def cheap_row(csr, i):
-            return bounded_bfs_levels(csr, i, 3)
+    batched = lint("""
+        from repro.graph.msbfs import msbfs_levels
+        def cheap_rows(csr, sources):
+            return msbfs_levels(csr, sources)
     """)
-    assert codes(cut_bfs) == ["R004"]
-    pruned_engine = lint("""
-        from repro.core.fastpairs import csr_top_k_rows
-        def shortcut(g1, g2):
-            return csr_top_k_rows(g1, g2, 10)
+    assert codes(batched) == ["R004"]
+    repaired = lint("""
+        from repro.graph.incremental import repair_levels
+        def shortcut(delta, lv1):
+            return repair_levels(delta, lv1)
     """)
-    assert codes(pruned_engine) == ["R004"]
+    assert codes(repaired) == ["R004"]
     charged = lint("""
-        from repro.graph.prune import bounded_bfs_levels
-        def charged_row(csr, i, budget):
-            budget.charge("topk", "g2", 1)
-            return bounded_bfs_levels(csr, i, 3)
+        from repro.graph.msbfs import msbfs_levels
+        def charged_rows(csr, sources, budget):
+            budget.charge("topk", "g2", len(sources))
+            return msbfs_levels(csr, sources)
     """)
     assert charged == []
 

@@ -25,7 +25,6 @@ import pytest
 from conftest import random_snapshot_pair
 from repro.graph.csr import bfs_levels
 from repro.graph.incremental import SnapshotDelta
-from repro.graph.prune import PrunePlan
 from repro.parallel import (
     ParallelExecutor,
     SharedCsrArena,
@@ -54,7 +53,6 @@ def _arena_state():
     delta = SnapshotDelta.from_graphs(g1, g2)
     return {
         "delta": delta,
-        "plan": PrunePlan.from_delta(delta),
         "csr": delta.csr1,
         "weights": np.arange(8, dtype=np.float64),
         "label": "plain-value",
@@ -120,9 +118,6 @@ class TestArenaRoundtrip:
             assert np.array_equal(d0.mapping, d1.mapping)
             assert np.array_equal(d0.edge_tails, d1.edge_tails)
             assert d0.csr2.nodes == d1.csr2.nodes
-            assert np.array_equal(
-                got["plan"].seed_idx1, state["plan"].seed_idx1
-            )
             # Views are read-only: shared pages must never be mutable.
             with pytest.raises(ValueError):
                 got["csr"].indptr[0] = 99
